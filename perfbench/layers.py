@@ -70,33 +70,31 @@ def _step_time(tracer: Tracer, args, result) -> None:
 
 
 def _wrap_run_cells(tracer: Tracer) -> None:
-    """Time each parallel cell and ship its spans back from the worker."""
+    """Time each parallel cell as a root.
+
+    Spans recorded in a forked worker would stay in that worker, so a
+    traced run refuses ``jobs > 1``; every workload runs its cells inline.
+    """
     import repro.parallel
     from repro.parallel import executor
 
     original = executor.run_cells
 
     def run_cells(cells, fn, jobs=None, **kwargs):
-        parent = os.getpid()
+        if executor.resolve_jobs(jobs) > 1:
+            raise RuntimeError("traced runs execute parallel cells inline (jobs=1)")
 
         def traced_cell(cell):
-            before = tracer.snapshot()
             start = tracer.clock()
             with tracer.root():
                 result = fn(cell)
             tracer.sample("parallel.cell", tracer.clock() - start)
             tracer.sample("parallel.worker_blas_threads", blas_threads())
-            return result, Tracer.delta(tracer.snapshot(), before), os.getpid()
+            return result
 
         start = tracer.clock()
-        outcomes = original(cells, traced_cell, jobs=jobs, **kwargs)
+        results = original(cells, traced_cell, jobs=jobs, **kwargs)
         tracer.count("parallel.wall_s", tracer.clock() - start)
-        tracer.count("parallel.jobs", executor.resolve_jobs(jobs))
-        results = []
-        for result, delta, pid in outcomes:
-            if pid != parent:
-                tracer.merge(delta)
-            results.append(result)
         return results
 
     run_cells.__perfbench_original__ = original

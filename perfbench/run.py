@@ -1,6 +1,6 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload paper-gat-cora --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload paper-gat-cora --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout.  ``--trace 0`` measures the end-to-end
 metrics with the program untouched; ``--trace 1`` runs the same workload
@@ -13,7 +13,6 @@ with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import shutil
@@ -143,7 +142,7 @@ def layer_metrics(tracer, session, outcome, calibration) -> dict:
     cells = durations.get("parallel.cell", [])
     metrics["parallel.cell_s_p50"] = _p(cells, 50)
     metrics["parallel.cell_s_max"] = max(cells) if cells else 0.0
-    pool = counters.get("parallel.wall_s", 0.0) * counters.get("parallel.jobs", 0.0)
+    pool = counters.get("parallel.wall_s", 0.0)  # one worker: cells run inline
     metrics["parallel.busy_share"] = sum(cells) / pool if pool else 0.0
     threads = durations.get("parallel.worker_blas_threads", [])
     metrics["parallel.worker_blas_threads"] = max(threads) if threads else 0.0
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     scratch.mkdir(parents=True, exist_ok=True)
     workload = WORKLOADS[args.workload](args.seed, args.seconds, scratch)
     traced = bool(args.trace)
-    tracer = session = None
+    tracer = None
     try:
         if traced:
             import layers
@@ -237,21 +236,23 @@ def main(argv=None) -> int:
             calibration = calibrate()
             tracer = Tracer()
             layers.install(tracer)
-        root = tracer.root if traced else contextlib.nullcontext
+            trace = tracer
+        else:
+            from tracer import Untraced
+
+            trace = Untraced()
         setup_s, setup_wall_s = [], []
         for _ in range(SETUP_REPEATS):
             start, cpu = time.perf_counter(), time.thread_time()
-            with root():
+            with trace.root():
                 workload.setup()
             setup_s.append(time.thread_time() - cpu)
             setup_wall_s.append(time.perf_counter() - start)
         if traced:
-            if workload.roots_in_cells:
-                root = contextlib.nullcontext
             with profile() as session:
-                outcome = workload.measure(root)
+                outcome = workload.measure(trace)
         else:
-            outcome = workload.measure(root)
+            outcome = workload.measure(trace)
     finally:
         if tracer is not None:
             tracer.uninstall()

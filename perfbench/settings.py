@@ -12,25 +12,34 @@ from typing import Optional
 
 
 @functools.cache
-def _openblas_getter():
-    """``scipy_openblas_get_num_threads64_`` from numpy's bundled OpenBLAS."""
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, or ``None`` when it cannot be found."""
     import numpy
 
     libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
     candidates = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*")))
-    if candidates:
-        # Loading by path returns the copy numpy already mapped.
-        getter = getattr(ctypes.CDLL(candidates[0]), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter
-    return lambda: -1
+    # Loading by path returns the copy numpy already mapped.
+    return ctypes.CDLL(candidates[0]) if candidates else None
+
+
+def _openblas_call(name: str, restype, default):
+    fn = getattr(_openblas(), name, None)
+    if fn is None:
+        return default
+    fn.argtypes = []
+    fn.restype = restype
+    return fn()
 
 
 def blas_threads() -> int:
     """Effective OpenBLAS thread count, or -1 when it cannot be read."""
-    return int(_openblas_getter()())
+    return int(_openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int, -1))
+
+
+def blas_core() -> str:
+    """The kernel family OpenBLAS picked for this CPU at load time."""
+    core = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p, None)
+    return core.decode() if core else "unknown"
 
 
 def _commit(root: Path) -> str:
@@ -76,6 +85,7 @@ def stamp(root: Path, workload: str, seed: int, trace: bool) -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "openblas_threads": blas_threads(),
+        "openblas_core": blas_core(),
         "repro_num_threads": num_threads(),
         "default_dtype": str(default_dtype()),
         "arena_enabled": bool(arena_enabled()),

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ sys.path.insert(0, str(HERE))
 import run  # noqa: E402
 import stats  # noqa: E402
 from tracer import Tracer  # noqa: E402
+from workloads import CellClock  # noqa: E402
 
 
 class FakeClock:
@@ -143,21 +145,44 @@ def test_wrapped_function_records_and_returns():
     assert wrapped.__perfbench_original__ is work
 
 
-def test_snapshot_delta_merge_round_trip():
+def test_forget_drops_the_durations_kept_so_far():
+    tracer = Tracer(clock=FakeClock())
+    tracer.sample("serve.forward", 1.0)
+    tracer.forget("serve.forward")
+    tracer.sample("serve.forward", 2.0)
+    assert tracer.durations["serve.forward"] == [2.0]
+    tracer.forget("never.recorded")
+
+
+def test_traced_run_cells_makes_each_cell_a_root():
+    import layers
+    import repro.parallel
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert repro.parallel.run_cells([1, 2, 3], lambda x: x * 2, jobs=1) == [2, 4, 6]
+        with pytest.raises(RuntimeError):
+            repro.parallel.run_cells([1, 2], lambda x: x, jobs=2)
+    finally:
+        tracer.uninstall()
+    assert len(tracer.durations["parallel.cell"]) == 3
+    assert tracer.root_wall > 0.0
+
+
+# -- per-cell periods of the sweep ---------------------------------------------
+def test_cell_clock_splits_the_sweep_into_one_period_per_cell():
     clock = FakeClock()
-    worker = Tracer(clock=clock)
-    before = worker.snapshot()
-    with worker.root():
-        frame = worker.enter("cell")
-        clock.now = 3.0
-        worker.exit(frame)
-        worker.count("n", 2)
-        clock.now = 4.0
-    parent = Tracer(clock=clock)
-    parent.merge(Tracer.delta(worker.snapshot(), before))
-    assert parent.self_s["cell"] == 3.0
-    assert parent.counters["n"] == 2
-    assert parent.root_wall == 4.0 and parent.root_self == 1.0
+    cells = CellClock(clock=clock)
+    for _cell in range(3):
+        clock.now += 1.0  # set-up, and the previous cell's probe
+        for epoch in range(2):
+            clock.now += 0.5
+            cells.on_epoch(SimpleNamespace(epoch=epoch))
+    clock.now += 0.25  # the last cell's probe
+    periods = cells.cell_cpu_ms()
+    assert periods == pytest.approx([2000.0, 2000.0, 2250.0])
+    assert sum(periods) == pytest.approx(clock.now * 1000.0)
 
 
 # -- metric names ------------------------------------------------------------

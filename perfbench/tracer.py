@@ -19,6 +19,7 @@ durations.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import sys
@@ -127,52 +128,10 @@ class Tracer:
         """Context marking the wall time that self times reconcile against."""
         return Tracer._Root(self)
 
-    # -- snapshots (worker processes ship these back to the parent) -------
-    def snapshot(self) -> dict:
+    def forget(self, name: str) -> None:
+        """Drop the durations kept so far for ``name``."""
         with self._lock:
-            return {
-                "self_s": dict(self.self_s),
-                "calls": dict(self.calls),
-                "durations": {k: list(v) for k, v in self.durations.items()},
-                "counters": dict(self.counters),
-                "root_wall": self.root_wall,
-                "root_self": self.root_self,
-                "attributed": self.attributed,
-            }
-
-    @staticmethod
-    def delta(after: dict, before: dict) -> dict:
-        """What was recorded between two snapshots of one tracer."""
-        return {
-            "self_s": {
-                k: v - before["self_s"].get(k, 0.0) for k, v in after["self_s"].items()
-            },
-            "calls": {k: v - before["calls"].get(k, 0) for k, v in after["calls"].items()},
-            "durations": {
-                k: v[len(before["durations"].get(k, [])) :]
-                for k, v in after["durations"].items()
-            },
-            "counters": {
-                k: v - before["counters"].get(k, 0.0) for k, v in after["counters"].items()
-            },
-            "root_wall": after["root_wall"] - before["root_wall"],
-            "root_self": after["root_self"] - before["root_self"],
-            "attributed": after["attributed"] - before["attributed"],
-        }
-
-    def merge(self, payload: dict) -> None:
-        with self._lock:
-            for k, v in payload["self_s"].items():
-                self.self_s[k] += v
-            for k, v in payload["calls"].items():
-                self.calls[k] += v
-            for k, v in payload["durations"].items():
-                self.durations[k].extend(v)
-            for k, v in payload["counters"].items():
-                self.counters[k] += v
-            self.root_wall += payload["root_wall"]
-            self.root_self += payload["root_self"]
-            self.attributed += payload["attributed"]
+            self.durations.pop(name, None)
 
     # -- wrappers --------------------------------------------------------
     def timed(
@@ -247,6 +206,16 @@ class Tracer:
         while self._patches:
             owner, attr, original = self._patches.pop()
             setattr(owner, attr, original)
+
+
+class Untraced:
+    """What a workload gets instead of a :class:`Tracer` in untraced runs."""
+
+    def root(self) -> contextlib.nullcontext:
+        return contextlib.nullcontext()
+
+    def forget(self, name: str) -> None:
+        pass
 
 
 def defining_classes(base: type, attr: str) -> List[type]:

@@ -1,9 +1,10 @@
 """The benchmark workloads, driven only through ``repro``'s public API.
 
 Each workload has a ``setup`` that makes its inputs from the seed and a
-``measure`` that runs the timed phase inside ``root()`` contexts (the
-tracer's reconciliation scope in traced runs, no-ops otherwise).  ``measure``
-returns an :class:`Outcome`; correctness checks count into ``failed``.
+``measure(trace)`` that runs the timed phase inside ``trace.root()``
+contexts (the tracer's reconciliation scope in traced runs, no-ops in
+untraced ones).  ``measure`` returns an :class:`Outcome`; correctness
+checks count into ``failed``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,53 @@ class EpochClock:
         return (np.diff(self.marks) * 1000.0).tolist()
 
 
+class CellClock:
+    """Epoch hook splitting a sweep's process CPU time into one period per cell.
+
+    The program tells untraced callers nothing when a cell starts, but
+    every training loop emits one event per epoch and each cell's epochs
+    count up from 0, so an epoch index that does not grow marks a new
+    cell.  A period runs from one cell's last epoch to the next cell's
+    last epoch (the first from the sweep's start, the last to its end):
+    one cell's set-up and training plus the previous cell's probe.  The
+    periods add up to the sweep.
+    """
+
+    wants_gradients = False
+
+    def __init__(self, clock: Callable[[], float] = time.process_time) -> None:
+        self.clock = clock
+        self.marks = [clock()]
+        self.last_epoch = None
+        self.last_time = 0.0
+
+    def on_epoch(self, event) -> None:
+        now = self.clock()
+        if self.last_epoch is not None and event.epoch <= self.last_epoch:
+            self.marks.append(self.last_time)
+        self.last_epoch = event.epoch
+        self.last_time = now
+
+    def cell_cpu_ms(self) -> List[float]:
+        """Per-cell periods, closed at the current time."""
+        return (np.diff([*self.marks, self.clock()]) * 1000.0).tolist()
+
+
+def warm_up(graph, seed: int) -> None:
+    """Train one epoch of the paper's GCMAE, so timing starts in a warm process.
+
+    The first training in a process ran slower than every later one (15%
+    per GAT epoch; GRACE and GraphMAE sweep cells 50% and 15% slower until a
+    GCMAE cell had run): glibc malloc raises its mmap and trim thresholds
+    only once the first large buffers are freed, and until then pages are
+    returned to and faulted back from the kernel.  Set-up calls this, so
+    that cost shows in setup_s.
+    """
+    from repro.core import GCMAEConfig, train_gcmae
+
+    train_gcmae(graph, GCMAEConfig(epochs=1), seed=seed)
+
+
 def _loss_fingerprint(losses: List[float], embeddings: np.ndarray) -> dict:
     return {
         "final_loss": repr(float(losses[-1])),
@@ -77,7 +125,6 @@ class PaperGatCora:
     """``GCMAEConfig()`` defaults on cora-like, checkpointed, served, probed."""
 
     name = "paper-gat-cora"
-    roots_in_cells = False
     checkpoint_every = 10
     # The cora-like edge count varies by +-14% with the generator seed, and
     # GAT cost with it, so the graph is fixed and the workload seed drives
@@ -92,24 +139,18 @@ class PaperGatCora:
         self.scratch = scratch
 
     def setup(self) -> None:
-        from repro.core import train_gcmae
         from repro.graph import load_node_dataset
 
         self.graph = load_node_dataset("cora-like", seed=self.dataset_seed)
         self.serving = ServingPhase(self.graph, self.seed)
-        # The first training in a process ran 15% slower per epoch than any
-        # later one: glibc malloc raises its mmap and trim thresholds only
-        # once the first large buffers are freed, and until then pages are
-        # returned to and faulted back from the kernel.  One warm-up epoch
-        # here moves that cost into setup_s.
-        train_gcmae(self.graph, self.train_config().with_overrides(epochs=1), seed=self.seed)
+        warm_up(self.graph, self.seed)
 
     def train_config(self):
         from repro.core import GCMAEConfig
 
         return GCMAEConfig(epochs=self.epochs)
 
-    def measure(self, root) -> Outcome:
+    def measure(self, trace) -> Outcome:
         from repro import engine
         from repro.core import train_gcmae
         from repro.eval import evaluate_probe
@@ -117,15 +158,15 @@ class PaperGatCora:
         graph = self.graph
         directory = self.scratch / "checkpoints"
         serving = Outcome(work_per_cpu_s=0.0, op_cpu_ms=[], probe_acc=0.0)
-        with root():
+        with trace.root():
             clock = EpochClock()
             with engine.checkpointing(directory, every=self.checkpoint_every):
                 result = train_gcmae(graph, self.train_config(), seed=self.seed, hooks=[clock])
             train_cpu = time.process_time() - clock.marks[0]
             embeddings = result.model.embed(graph.adjacency, graph.features)
         # Outside the root: the generator's idle waits are not program time.
-        served = self.serving.run(result.model.encoder, self.train_config(), serving)
-        with root():
+        served = self.serving.run(result.model.encoder, self.train_config(), serving, trace)
+        with trace.root():
             probe = evaluate_probe(served, graph.labels, graph.train_mask, graph.test_mask)
         shutil.rmtree(directory, ignore_errors=True)
         outcome = _training_outcome(graph, result, clock, train_cpu, embeddings, probe)
@@ -138,42 +179,46 @@ class PaperGatCora:
         return outcome
 
 
-# Serving traffic after training: open-loop Poisson arrivals from one
-# thread.  Most requests are ego-net subgraphs through the micro-batch
-# queue; the rest read Zipf-distributed node ids through the LRU cache.
-# Each write re-attaches the graph (invalidating the cache) and re-reads
-# every node, one full-graph forward that stalls the generator.
-SERVE_RATE = 200.0
-SERVE_REQUESTS = 600
-SERVE_GRAPH_SHARE = 0.85
-SERVE_IDS_PER_READ = 4
-SERVE_ZIPF = 1.1
+# Serving traffic after training (README.md, "Serving phase", gives the
+# source of each value).  Only the rate comes from a measurement; the
+# request mix, the Zipf exponent and the write period are unmeasured
+# synthetic choices, so the serving figures are not to be tuned against.
+SERVE_RATE = 200.0  # requests per second
+SERVE_REQUESTS = 600  # three seconds at SERVE_RATE
+SERVE_GRAPH_SHARE = 0.5  # graph requests; the rest are node reads
+SERVE_ZIPF = 1.0  # node-read popularity: the rank-k node is read in proportion to 1/k
 SERVE_WRITE_PERIOD_S = 1.0
-SERVE_EGO_NETS = 64
-SERVE_EGO_NEIGHBOURS = 15
 
 
 class ServingPhase:
-    """Serve a trained encoder through ``EmbeddingService`` and check every row."""
+    """Serve a trained encoder through ``EmbeddingService`` and check every row.
+
+    Open-loop Poisson arrivals from one thread.  A graph request is the
+    1-hop ego-net of a uniformly drawn node, sent through ``submit_graph``
+    and the micro-batch queue; a node read asks ``embed_nodes`` for one
+    Zipf-distributed node id through the LRU cache.  Each write re-attaches
+    the graph with ``update_graph``, which invalidates the cache.  After
+    attaching and after each write every node is read once, so the cache
+    holds all rows again: a miss costs one full-graph forward.
+    """
 
     def __init__(self, graph, seed: int) -> None:
         self.graph = graph
         rng = np.random.default_rng([seed, 1])
         n = graph.num_nodes
-        centres = rng.choice(n, size=SERVE_EGO_NETS, replace=False)
-        self.ego_nets = []
-        for centre in centres:
-            neighbours = graph.adjacency[centre].indices[:SERVE_EGO_NEIGHBOURS]
-            self.ego_nets.append(graph.subgraph(np.unique(np.append(neighbours, centre))))
         self.offsets = stats.poisson_schedule(SERVE_RATE, SERVE_REQUESTS, rng)
         self.is_graph = rng.random(SERVE_REQUESTS) < SERVE_GRAPH_SHARE
-        self.ego_index = rng.integers(0, SERVE_EGO_NETS, size=SERVE_REQUESTS)
+        self.centres = rng.integers(0, n, size=SERVE_REQUESTS)
         weights = 1.0 / np.arange(1, n + 1) ** SERVE_ZIPF
-        ranks = rng.choice(n, size=(SERVE_REQUESTS, SERVE_IDS_PER_READ), p=weights / weights.sum())
+        ranks = rng.choice(n, size=SERVE_REQUESTS, p=weights / weights.sum())
         self.node_ids = rng.permutation(n)[ranks]
         self.writes = np.arange(SERVE_WRITE_PERIOD_S, self.offsets[-1], SERVE_WRITE_PERIOD_S)
+        self.ego_nets = {
+            int(c): graph.subgraph(np.unique(np.append(graph.adjacency[c].indices, c)))
+            for c in np.unique(self.centres[self.is_graph])
+        }
 
-    def run(self, encoder, config, outcome: Outcome) -> np.ndarray:
+    def run(self, encoder, config, outcome: Outcome, trace) -> np.ndarray:
         """Drive the traffic; returns every node's row as finally served."""
         from repro.serve import EmbeddingService, EncoderSpec, ModelRegistry
 
@@ -189,9 +234,11 @@ class ServingPhase:
         )
         registry = ModelRegistry()
         registry.register("gcmae", encoder, spec)
-        # References: a direct no-grad forward of each input.
-        ego_refs = [encoder.infer(g.adjacency, g.features) for g in self.ego_nets]
+        # References: a direct no-grad forward of each input.  They are not
+        # served requests, so the traced forward durations start after them.
+        ego_refs = {c: encoder.infer(g.adjacency, g.features) for c, g in self.ego_nets.items()}
         node_ref = encoder.infer(self.graph.adjacency, self.graph.features)
+        trace.forget("serve.forward")
         everyone = np.arange(self.graph.num_nodes)
         count = SERVE_REQUESTS
         times = np.concatenate([self.offsets, self.writes])
@@ -207,7 +254,7 @@ class ServingPhase:
         due_at = np.zeros(times.size)
         futures, reads = [], []
 
-        with EmbeddingService(registry, "gcmae", graph=self.graph, max_wait_ms=2.0) as service:
+        with EmbeddingService(registry, "gcmae", graph=self.graph) as service:
             reads.append((everyone, service.embed_nodes(everyone)))
 
             def stamp(i: int):
@@ -216,12 +263,12 @@ class ServingPhase:
             def issue(i: int, due: float) -> None:
                 due_at[i] = due
                 if kinds[i] == 0:
-                    j = int(self.ego_index[index[i]])
-                    future = service.submit_graph(self.ego_nets[j])
+                    centre = int(self.centres[index[i]])
+                    future = service.submit_graph(self.ego_nets[centre])
                     future.add_done_callback(stamp(i))
-                    futures.append((future, j))
+                    futures.append((future, centre))
                 elif kinds[i] == 1:
-                    ids = self.node_ids[index[i]]
+                    ids = self.node_ids[index[i] : index[i] + 1]
                     reads.append((ids, service.embed_nodes(ids)))
                     done[i] = time.perf_counter()
                 else:
@@ -230,13 +277,15 @@ class ServingPhase:
                     done[i] = time.perf_counter()
 
             _start, late = stats.drive_open_loop(times, issue)
-            for future, j in futures:
+            for future, centre in futures:
                 try:
                     rows = future.result(timeout=60.0)
                 except Exception as error:  # a failed request counts as failed
                     outcome.check(False, f"graph request failed: {error!r}")
                     continue
-                outcome.check(np.array_equal(rows, ego_refs[j]), f"ego-net {j} rows differ")
+                outcome.check(
+                    np.array_equal(rows, ego_refs[centre]), f"ego-net of {centre} rows differ"
+                )
             served = service.embed_nodes(everyone)
             reads.append((everyone, served))
             queue = service.queue.stats()
@@ -290,11 +339,14 @@ class SampledRedditLarge:
     """The ``large_graph`` gate config: GCN 32-d, SCE+InfoNCE, fan-outs (2,2)."""
 
     name = "sampled-reddit-large"
-    roots_in_cells = False
 
     def __init__(self, seed: int, seconds: int, scratch: Path) -> None:
         self.seed = seed
-        # One epoch (782 blocks of 64 seeds) takes about 23 s on a 2-core host.
+        # One epoch (782 blocks of 64 seeds) takes 10-23 s on a 2-core host.
+        # The program offers untraced callers no per-step hook, so the op
+        # behind op_cpu_ms is the epoch: at one epoch per run it is the
+        # same CPU time work_per_cpu_s inverts.  The traced run's
+        # engine.step_ms_p50 and engine.step_ms_p98 give the per-block view.
         self.epochs = max(1, seconds // 25)
 
     def setup(self) -> None:
@@ -318,12 +370,12 @@ class SampledRedditLarge:
             sampled_batch_size=64,
         )
 
-    def measure(self, root) -> Outcome:
+    def measure(self, trace) -> Outcome:
         from repro.core import train_gcmae
         from repro.eval import evaluate_probe
 
         graph = self.graph
-        with root():
+        with trace.root():
             clock = EpochClock()
             result = train_gcmae(graph, self.train_config(), seed=self.seed, hooks=[clock])
             train_cpu = time.process_time() - clock.marks[0]
@@ -349,19 +401,22 @@ class Table4Sweep:
     """
 
     name = "table4-sweep"
-    # Each cell is a tracer root, timed where it runs.
-    roots_in_cells = True
     jobs = 1
     # Eight epochs per method: GraphMAE and MaskGAE would otherwise train
     # their profile minimum of 180 and 160 epochs.
     epochs = 8
+    # Each seed is a fresh cora-like graph as well as a fresh
+    # initialisation.  With two seeds per run the table mean's spread
+    # across runs was 0.09 of its median, with three it shrank by a fifth.
+    # Six lowered the spread of probe_acc but raised that of peak_rss_mb
+    # to 0.18: the peak follows the densest of the run's graphs, and with
+    # six a run often holds one.
+    seeds_per_run = 3
 
     def __init__(self, seed: int, seconds: int, scratch: Path) -> None:
         self.seed = seed
-        # Each seed is a fresh cora-like graph as well as a fresh
-        # initialisation; with two per run the table mean's spread across
-        # runs was 0.09 of its median, with three it shrinks by a fifth.
-        self.seeds = [3 * seed, 3 * seed + 1, 3 * seed + 2]
+        n = self.seeds_per_run
+        self.seeds = [n * seed + i for i in range(n)]
         # One sweep takes 11-25 s on a 2-core host.
         self.repeats = max(1, seconds // 25)
 
@@ -395,20 +450,25 @@ class Table4Sweep:
         # The cells generate these graphs again; generating them here too
         # puts the sweep's input cost into setup_s.
         self.graphs = [load_node_dataset("cora-like", seed=s) for s in self.seeds]
+        warm_up(self.graphs[0], self.seed)
 
-    def measure(self, root) -> Outcome:
+    def measure(self, trace) -> Outcome:
+        from repro.obs import use_hooks
         from repro.spec import run_spec
 
+        # No root here: in a traced run each cell is a root of its own.
         previous = os.environ.get("REPRO_NO_CACHE")
         os.environ["REPRO_NO_CACHE"] = "1"  # time the compute, not the cache
-        walls, cpus, tables = [], [], []
+        walls, cpus, tables, cell_ms = [], [], [], []
         try:
-            with root():
-                for _ in range(self.repeats):
-                    start, cpu = time.perf_counter(), time.process_time()
+            for _ in range(self.repeats):
+                start, cpu = time.perf_counter(), time.process_time()
+                clock = CellClock()
+                with use_hooks(clock):
                     tables.append(run_spec(self.spec, profile=self.profile, jobs=self.jobs))
-                    walls.append(time.perf_counter() - start)
-                    cpus.append(time.process_time() - cpu)
+                walls.append(time.perf_counter() - start)
+                cpus.append(time.process_time() - cpu)
+                cell_ms.append(clock.cell_cpu_ms())
         finally:
             if previous is None:
                 os.environ.pop("REPRO_NO_CACHE", None)
@@ -418,9 +478,11 @@ class Table4Sweep:
         cells = len(self.plan.cells)
         outcome = Outcome(
             work_per_cpu_s=cells * len(cpus) / sum(cpus),
-            op_cpu_ms=[c * 1000.0 for c in cpus],
+            op_cpu_ms=[ms for periods in cell_ms for ms in periods],
             probe_acc=0.0,
         )
+        for periods in cell_ms:
+            outcome.check(len(periods) == cells, f"{len(periods)} cell periods for {cells} cells")
         means = []
         for table in tables:
             for row in table.rows:
