@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..graph.sparse import edge_codes, is_edge
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 
@@ -100,21 +101,41 @@ def _edge_logits(decoded: Tensor, pairs: np.ndarray) -> Tensor:
 def sample_nonedges(
     adjacency: sp.spmatrix, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample ``count`` node pairs that are not edges (rejection sampling)."""
+    """Sample ``count`` node pairs that are not edges (rejection sampling).
+
+    Attempt ``i`` draws ``rng.integers(0, n, size=2)`` and keeps the pair
+    unless it is a self pair or an edge; sampling stops at the ``count``-th
+    kept pair or after ``count * 50`` attempts.  When nothing is kept
+    (pathological density) one more draw picks an off-diagonal pair.
+
+    The attempts are drawn in blocks: ``Generator.integers`` draws each
+    element of a bounded block from the bit generator in turn (Lemire
+    rejections and PCG64's cached 32-bit half included), so a block of
+    ``k`` pairs is the stream of ``k`` per-pair draws.  Blocks run past the
+    stopping attempt, so the generator is then rewound and advanced by
+    exactly the attempts used, leaving it where per-pair sampling would.
+    """
     n = adjacency.shape[0]
-    csr = sp.csr_matrix(adjacency)
+    codes = edge_codes(adjacency)
+    cap = count * 50
+    start_state = rng.bit_generator.state
     pairs = []
-    attempts = 0
-    while len(pairs) < count and attempts < count * 50:
-        attempts += 1
-        u, v = rng.integers(0, n, size=2)
-        if u == v or csr[u, v] != 0:
-            continue
-        pairs.append((u, v))
-    if not pairs:  # pathological density: fall back to any off-diagonal pair
+    drawn = have = 0
+    while have < count and drawn < cap:
+        block = rng.integers(0, n, size=(min(2 * (count - have) + 8, cap - drawn), 2))
+        u, v = block[:, 0], block[:, 1]
+        keep = np.flatnonzero((u != v) & ~is_edge(codes, n, u, v))[: count - have]
+        pairs.append(block[keep])
+        drawn += len(block)
+        have += len(keep)
+    # Attempts used: through the count-th kept pair, else the whole cap.
+    attempts = drawn - len(block) + int(keep[-1]) + 1 if 0 < count == have else drawn
+    rng.bit_generator.state = start_state
+    rng.integers(0, n, size=(attempts, 2))
+    if have == 0:  # pathological density: fall back to any off-diagonal pair
         u = int(rng.integers(0, n))
-        pairs = [(u, (u + 1) % n)]
-    return np.array(pairs, dtype=np.int64)
+        return np.array([(u, (u + 1) % n)], dtype=np.int64)
+    return np.concatenate(pairs)
 
 
 def adjacency_reconstruction_loss(
@@ -146,7 +167,7 @@ def adjacency_reconstruction_loss(
     if len(edges) == 0:
         raise ValueError("graph has no edges to reconstruct")
     num_negative = num_negative if num_negative is not None else len(edges)
-    nonedges = sample_nonedges(csr, num_negative, rng)
+    nonedges = sample_nonedges(adjacency, num_negative, rng)
 
     pos_logits = _edge_logits(decoded, edges)
     neg_logits = _edge_logits(decoded, nonedges)

@@ -40,8 +40,9 @@ TIMED_METHODS = ("CCA-SSG", "GraphMAE", "MaskGAE", "GCMAE", "GCMAE (sage)")
 COMPONENT_GROUPS = (
     ("sparse matmul (message passing)", ("graph.spmm", "graph.spmm_linear")),
     ("structure build (normalisation)", ("graph.structure",)),
-    ("attention / segment ops", ("graph.segment.sum", "graph.segment.mean",
-                                 "graph.segment.max", "nn.leaky_relu")),
+    ("attention / segment ops", ("graph.gat.aggregate", "graph.segment.sum",
+                                 "graph.segment.mean", "graph.segment.max",
+                                 "nn.leaky_relu")),
     ("dense matmul (projections)", ("tensor.matmul",)),
     ("activations & norms", ("nn.softmax", "nn.log_softmax", "nn.layer_norm", "nn.elu",
                              "tensor.relu", "tensor.tanh", "tensor.sigmoid", "tensor.exp")),

@@ -125,6 +125,11 @@ class GATConv(Module):
         src, dst = memoized_on_matrix(
             adjacency, "gat-edges", lambda: _self_loop_edges(adjacency)
         )
+        index = memoized_on_matrix(
+            adjacency,
+            ("gat-aggregate", self.heads),
+            lambda: F.gat_aggregation_index(src, dst, n, self.heads),
+        )
 
         h = (x @ self.weight).reshape(n, self.heads, self.out_features)
         # Per-node attention halves: (N, heads)
@@ -141,8 +146,7 @@ class GATConv(Module):
         denom = F.segment_sum(exp_scores, dst, n)
         coefficients = exp_scores / (denom[dst] + 1e-16)
 
-        weighted = h[src] * coefficients.reshape(len(src), self.heads, 1)
-        out = F.segment_sum(weighted, dst, n)
+        out = F.gat_aggregate(h, coefficients, src, dst, index)
         if self.concat:
             out = out.reshape(n, self.heads * self.out_features)
         else:
@@ -179,7 +183,11 @@ class GINConv(Module):
 
 
 def _self_loop_edges(adjacency: sp.spmatrix):
-    """(src, dst) arrays of the adjacency with self loops, for GAT attention."""
+    """(src, dst) arrays of the adjacency with self loops, for GAT attention.
+
+    The edges come out src-major (sorted by ``src``), as the transposed
+    layout of :func:`repro.nn.functional.gat_aggregation_index` requires.
+    """
     coo = sp.coo_matrix(add_self_loops(adjacency))
     return coo.row, coo.col
 

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from ..nn.profiler import active_session
 from ..obs.hooks import emit_counter
 from .data import Graph
-from .sparse import mark_symmetric
+from .sparse import edge_codes, is_edge, mark_symmetric
 
 _NEG_SAMPLING_ROUNDS = 16
 
@@ -418,13 +418,7 @@ class LinkNeighborLoader:
         self.num_negatives = num_negatives
         self.seed = int(seed)
         self.sampler = NeighborSampler(graph, fanouts)
-        # Sorted linear codes of every directed edge (the adjacency is
-        # symmetric, so both orientations are present): membership checks
-        # during negative sampling become one searchsorted per round.
-        n = graph.num_nodes
-        indptr = graph.adjacency.indptr
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        self._edge_codes = np.sort(rows * n + graph.adjacency.indices)
+        self._edge_codes = edge_codes(graph.adjacency)
 
     def num_batches(self) -> int:
         return int(np.ceil(len(self.edges) / self.batch_size))
@@ -445,11 +439,7 @@ class LinkNeighborLoader:
                 break
             u = rng.integers(0, n, size=2 * need + 8)
             v = rng.integers(0, n, size=u.size)
-            codes = u * n + v
-            pos = np.searchsorted(self._edge_codes, codes)
-            pos = np.minimum(pos, self._edge_codes.size - 1)
-            is_edge = self._edge_codes[pos] == codes
-            ok = (u != v) & ~is_edge
+            ok = (u != v) & ~is_edge(self._edge_codes, n, u, v)
             keep_u.append(u[ok])
             keep_v.append(v[ok])
             have += int(ok.sum())

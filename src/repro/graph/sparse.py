@@ -299,6 +299,36 @@ def edge_array(adjacency: sp.spmatrix, directed: bool = False) -> np.ndarray:
     return np.stack([rows[mask], cols[mask]], axis=1)
 
 
+def edge_codes(adjacency: sp.spmatrix) -> np.ndarray:
+    """Sorted int64 codes ``u * n + v`` of the adjacency's nonzero entries.
+
+    Built from COO triplets, so no ``n + 1`` row pointer is allocated, and
+    memoized on the adjacency, so sampling loops that test candidate pairs
+    every step sort the edges once.  An entry counts as an edge when its
+    summed value is nonzero, the test ``csr[u, v] != 0`` makes.
+    """
+    n = adjacency.shape[0]
+    if n * n > np.iinfo(np.int64).max:
+        raise ValueError(f"edge codes u * n + v overflow int64 for n = {n}")
+
+    def build() -> np.ndarray:
+        coo = sp.coo_matrix(adjacency, copy=True)
+        coo.sum_duplicates()
+        coo.eliminate_zeros()
+        return np.sort(coo.row.astype(np.int64) * n + coo.col.astype(np.int64))
+
+    return memoized_on_matrix(adjacency, "edge-codes", build)
+
+
+def is_edge(codes: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each pair ``(u[i], v[i])`` is an edge, given ``edge_codes``."""
+    query = np.asarray(u, dtype=np.int64) * np.int64(n) + np.asarray(v, dtype=np.int64)
+    if codes.size == 0:
+        return np.zeros(query.shape, dtype=bool)
+    position = np.minimum(np.searchsorted(codes, query), codes.size - 1)
+    return codes[position] == query
+
+
 def adjacency_from_edges(
     edges: np.ndarray, num_nodes: int, symmetric: bool = True
 ) -> sp.csr_matrix:

@@ -222,6 +222,98 @@ def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     return Tensor._make(out, (values,), backward)
 
 
+def gat_aggregation_index(src: np.ndarray, dst: np.ndarray, num_nodes: int, heads: int):
+    """CSR index operands of :func:`gat_aggregate` for src-major edges.
+
+    Heads are laid out block-diagonally so each product is a single CSR call
+    over ``h.reshape(num_nodes * heads, F)``: row ``d * heads + k`` gathers
+    head ``k`` of destination ``d``.  Returns ``(forward, transposed)``, each
+    ``(indptr, indices, gather)`` where ``gather`` picks the matrix data out of
+    the flattened ``(E, heads)`` coefficients.
+
+    * ``forward`` (rows ``dst``, columns ``src``) lays each row out with a
+      stable argsort of ``dst``, so a row sums its sources in edge order —
+      the order of an ``np.add.at`` scatter over the same edges.
+    * ``transposed`` (rows ``src``, columns ``dst``) is the src-major edge
+      order itself, the order of the scatter in the gather's backward.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if np.any(src[1:] < src[:-1]):
+        raise ValueError("gat_aggregation_index needs src-major (src-sorted) edges")
+    head = np.arange(heads, dtype=np.int64)
+
+    def layout(rows: np.ndarray, cols: np.ndarray, edge_ids: np.ndarray):
+        # ``rows`` is sorted; block row (r, k) holds row r's edges for head k.
+        counts = np.bincount(rows, minlength=num_nodes)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        row_start = starts[rows]
+        slot = (
+            (heads * row_start + np.arange(len(rows)) - row_start)[:, None]
+            + head * counts[rows][:, None]
+        ).ravel()
+        indices = np.empty(len(rows) * heads, dtype=np.int64)
+        gather = np.empty(len(rows) * heads, dtype=np.int64)
+        indices[slot] = (cols[:, None] * heads + head).ravel()
+        gather[slot] = (edge_ids[:, None] * heads + head).ravel()
+        indptr = np.append(
+            (heads * starts[:-1, None] + head * counts[:, None]).ravel(),
+            len(rows) * heads,
+        )
+        # scipy keeps int32 index arrays as given; int64 ones that fit would
+        # be narrowed (copied) on every matrix construction.
+        if max(len(indices), len(indptr)) < np.iinfo(np.int32).max:
+            indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+        return indptr, indices, gather
+
+    order = np.argsort(dst, kind="stable")
+    forward = layout(dst[order], src[order], order)
+    transposed = layout(src, dst, np.arange(len(src), dtype=np.int64))
+    return forward, transposed
+
+
+def _block_product(layout, coefficients: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """One CSR product over all heads of an ``(N, heads, F)`` operand."""
+    indptr, indices, gather = layout
+    size = len(indptr) - 1
+    matrix = sp.csr_matrix((coefficients.ravel()[gather], indices, indptr), shape=(size, size))
+    return spmm_data(matrix, dense.reshape(size, -1))
+
+
+@profiled_op("graph.gat.aggregate")
+def gat_aggregate(
+    h: Tensor, coefficients: Tensor, src: np.ndarray, dst: np.ndarray, index
+) -> Tensor:
+    """GAT message passing ``out[d] = sum_e coefficients[e] * h[src[e]]``.
+
+    ``h`` is ``(N, heads, F)``, ``coefficients`` ``(E, heads)`` over the
+    src-major edges ``(src, dst)``, and ``index`` their
+    :func:`gat_aggregation_index`.  One autograd node replaces the gather,
+    scale and scatter of ``segment_sum(h[src] * c[..., None], dst, N)`` and
+    is bit-equal to it: the forward and the ``h`` gradient are CSR products
+    whose rows accumulate in the scatter's order, and the coefficient
+    gradient is the same edge-wise ``(grad[dst] * h[src]).sum(-1)``.
+    """
+    h = ensure_tensor(h)
+    coefficients = ensure_tensor(coefficients)
+    forward, transposed = index
+    out = _block_product(forward, coefficients.data, h.data).reshape(h.shape)
+
+    def backward(grad: np.ndarray) -> None:
+        if h.requires_grad:
+            h._accumulate(_block_product(transposed, coefficients.data, grad).reshape(h.shape))
+        if coefficients.requires_grad:
+            # Reduce a C-ordered product, as the composite's mul backward
+            # does: ``grad`` may arrive with the stride-0 head axis of a
+            # head mean innermost, and a product in that layout sums over
+            # ``F`` in a different order.
+            edge_products = h.data[src]
+            edge_products *= grad[dst]
+            coefficients._accumulate(edge_products.sum(axis=-1))
+
+    return Tensor._make(out, (h, coefficients), backward)
+
+
 # ---------------------------------------------------------------------------
 # Activations and normalisation
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ These use a micro profile (tiny dims, 1-2 epochs) — they validate plumbing,
 shapes, and annotations, not accuracy (the benchmarks do that).
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -22,6 +23,10 @@ from repro.experiments import (
     run_table8,
     run_table9,
 )
+from repro.experiments.efficiency import COMPONENT_GROUPS
+from repro.gnn import GATConv
+from repro.graph.sparse import adjacency_from_edges
+from repro.nn import Tensor, profiler
 
 MICRO = Profile(
     name="micro",
@@ -155,6 +160,20 @@ class TestTableRunners:
         )
         cell = table.get("GCMAE", "cora-like")
         assert cell is not None and cell.mean > 0
+
+    def test_table9_groups_every_gat_graph_kernel(self):
+        # A graph kernel missing from COMPONENT_GROUPS would silently land
+        # in "other autograd ops" in the Table 9 breakdown.
+        adjacency = adjacency_from_edges(np.array([(0, 1), (1, 2), (2, 3)]), 4)
+        conv = GATConv(3, 2, heads=2, rng=np.random.default_rng(0))
+        with profiler.profile() as prof:
+            x = Tensor(np.ones((4, 3)), requires_grad=True)
+            conv(adjacency, x).sum().backward()
+        emitted = {s.name for s in prof.op_stats(group_backward=True)}
+        grouped = {op for _, ops in COMPONENT_GROUPS for op in ops}
+        graph_ops = {name for name in emitted if name.startswith("graph.")}
+        assert "graph.gat.aggregate" in graph_ops
+        assert graph_ops <= grouped
 
     def test_table10(self):
         table = run_table10(profile=MICRO, datasets=["cora-like"])

@@ -80,6 +80,38 @@ class TestEdgeArrays:
         np.testing.assert_allclose(adj.toarray(), [[0, 1], [1, 0]])
 
 
+class TestEdgeCodes:
+    def test_membership_matches_dense_lookup(self):
+        adj = ring(7)
+        dense = adj.toarray() != 0
+        u, v = np.divmod(np.arange(49), 7)
+        codes = su.edge_codes(adj)
+        assert np.all(np.diff(codes) > 0)
+        np.testing.assert_array_equal(su.is_edge(codes, 7, u, v), dense[u, v])
+
+    def test_duplicates_sum_and_zeros_drop(self):
+        # (0, 1) stored twice, (1, 2) stored with value zero.
+        adj = sp.coo_matrix(([1.0, 1.0, 0.0], ([0, 0, 1], [1, 1, 2])), shape=(3, 3))
+        codes = su.edge_codes(adj)
+        np.testing.assert_array_equal(codes, [1])
+        np.testing.assert_array_equal(
+            su.is_edge(codes, 3, [0, 1, 2], [1, 2, 2]), [True, False, False]
+        )
+
+    def test_memoized_on_the_adjacency(self):
+        adj = ring(5)
+        assert su.edge_codes(adj) is su.edge_codes(adj)
+
+    def test_rejects_node_counts_whose_codes_overflow(self):
+        huge = sp.coo_matrix((2**32, 2**32))
+        with pytest.raises(ValueError, match="overflow"):
+            su.edge_codes(huge)
+
+    def test_edgeless_graph_has_no_edges(self):
+        codes = su.edge_codes(sp.csr_matrix((4, 4)))
+        assert not su.is_edge(codes, 4, np.arange(4), np.arange(4)).any()
+
+
 class TestKHop:
     def test_ring_two_hops(self):
         hops = su.k_hop_neighbors(ring(8), 0, 2)

@@ -60,6 +60,33 @@ class TestSegments:
         check_gradients(lambda x: F.segment_max(x, ids, 2), [values])
 
 
+class TestGatAggregate:
+    # Src-major edges of a 4-node graph with self loops; node 3 has no
+    # in-edges other than its loop.
+    SRC = np.array([0, 0, 0, 1, 1, 2, 2, 2, 3])
+    DST = np.array([0, 1, 2, 1, 2, 0, 2, 3, 3])
+    HEADS = 2
+
+    def _aggregate(self, h, coefficients):
+        index = F.gat_aggregation_index(self.SRC, self.DST, 4, self.HEADS)
+        return F.gat_aggregate(h, coefficients, self.SRC, self.DST, index)
+
+    def test_forward_matches_dense(self):
+        h = RNG.normal(size=(4, self.HEADS, 3))
+        c = RNG.random((len(self.SRC), self.HEADS))
+        out = self._aggregate(Tensor(h), Tensor(c))
+        expected = np.zeros_like(h)
+        for e, (s, d) in enumerate(zip(self.SRC, self.DST)):
+            expected[d] += c[e][:, None] * h[s]
+        np.testing.assert_allclose(out.data, expected)
+
+    def test_gradient(self):
+        check_gradients(
+            self._aggregate,
+            [RNG.normal(size=(4, self.HEADS, 3)), RNG.random((len(self.SRC), self.HEADS))],
+        )
+
+
 class TestActivations:
     def test_softmax_rows_sum_to_one(self):
         x = RNG.normal(size=(5, 7)) * 10
