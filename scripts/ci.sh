@@ -79,13 +79,9 @@ else
     PYTHONPATH=src python -m repro bench check
 fi
 
-echo "== parallel smoke (jobs=2 table runs bit-identical to serial) =="
-PYTHONPATH=src python -m pytest tests/parallel -q
+echo "== parallel tables gate (jobs>1 speedup; tests/parallel runs in tier-1) =="
 REPRO_PERF_REPORT_ONLY="$REPORT_ONLY" \
     PYTHONPATH=src python -m pytest benchmarks/test_parallel_tables.py -q -s
-
-echo "== resume equivalence (kill at 15, resume, bit-identical weights) =="
-PYTHONPATH=src python -m pytest tests/engine/test_resume.py -q
 
 echo "== telemetry sample run (runs/<id>/, schema-validated) =="
 python scripts/runs_demo.py runs

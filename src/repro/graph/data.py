@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..nn.dtype import as_float_array
 from . import sparse as sparse_utils
+
+if TYPE_CHECKING:  # batch.py imports this module
+    from .batch import BatchLoader, GraphBatch
 
 
 @dataclass
@@ -186,6 +189,8 @@ class GraphDataset:
 
     def to_batch(self) -> "GraphBatch":
         """The whole dataset as one block-diagonal batch."""
+        from .batch import GraphBatch
+
         return GraphBatch.from_graphs(self.graphs, labels=self.labels, name=self.name)
 
     def loader(self, batch_size: Optional[int] = None) -> "BatchLoader":
@@ -194,6 +199,8 @@ class GraphDataset:
         ``batch_size=None`` puts the whole dataset in one batch (the
         full-batch training the graph-level methods default to).
         """
+        from .batch import BatchLoader
+
         return BatchLoader(self, batch_size=batch_size)
 
     def summary(self) -> Dict[str, object]:
@@ -204,9 +211,3 @@ class GraphDataset:
             "classes": self.num_classes,
             "avg_nodes": float(np.mean([g.num_nodes for g in self.graphs])),
         }
-
-
-# Re-exported here for compatibility: GraphBatch predates the batching
-# subsystem and was originally defined in this module.  The import sits at
-# the bottom because batch.py needs Graph/GraphDataset (lazily) itself.
-from .batch import BatchLoader, GraphBatch  # noqa: E402

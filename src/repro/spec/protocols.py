@@ -2,13 +2,12 @@
 
 Each protocol bundles what used to be hard-coded inside one table runner:
 which dataset family it loads (``node`` vs ``graph``, which also selects
-the method registry protocol), the embedding-cache key prefix (kept
-byte-compatible with the legacy runners so spec runs share cached
-pretrainings with them), the metric column suffixes, and the per-cell
-evaluation function.
+the method registry protocol), the embedding-cache key prefix (shared by
+every table that evaluates the same pretraining), the metric column
+suffixes, and the per-cell evaluation function.
 
-* ``classification``       — Table 4: linear probe accuracy (supervised
-  rows evaluate end-to-end instead of probing).
+* ``classification``       — Tables 4 and 10: linear probe accuracy
+  (supervised rows evaluate end-to-end instead of probing).
 * ``clustering``           — Table 6: k-means NMI/ARI over frozen
   embeddings.
 * ``linkpred``             — Table 5: AUC/AP of a fine-tuned edge scorer
@@ -42,10 +41,10 @@ class CellContext:
         """The embedding-cache key for one cell.
 
         For a variant whose label is its method name at the profile-default
-        config this reduces to the legacy runners' key
-        (``{prefix}{method}-{dataset}-{seed}-{profile}``), so spec runs hit
-        the same cache entries; renamed or overridden variants get a label
-        and/or config-digest suffix and never collide with them.
+        config this reduces to ``{prefix}{method}-{dataset}-{seed}-{profile}``,
+        so every table evaluating that pretraining hits the same cache
+        entry; renamed or overridden variants get a label and/or
+        config-digest suffix and never collide with it.
         """
         label = f"-{variant.label}" if variant.label != variant.method else ""
         return (

@@ -7,6 +7,7 @@ from repro.core import GCMAE, GCMAEConfig, GCMAEMethod, train_gcmae
 from repro.core.variants import ENCODER_VARIANTS, fit_encoder_variant
 from repro.graph.datasets import load_graph_dataset
 from repro.graph.generators import CitationGraphSpec, add_planted_splits, make_citation_graph
+from repro.obs import LambdaHook
 
 TINY = GCMAEConfig(hidden_dim=16, embed_dim=16, epochs=3, projector_hidden=8)
 
@@ -124,7 +125,8 @@ class TestTrainer:
 
     def test_epoch_callback_invoked(self, graph):
         calls = []
-        train_gcmae(graph, TINY, seed=0, epoch_callback=lambda e, m: calls.append(e))
+        hook = LambdaHook(lambda event: calls.append(event.epoch))
+        train_gcmae(graph, TINY, seed=0, hooks=(hook,))
         assert calls == list(range(TINY.epochs))
 
 

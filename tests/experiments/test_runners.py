@@ -27,6 +27,7 @@ from repro.experiments.efficiency import COMPONENT_GROUPS
 from repro.gnn import GATConv
 from repro.graph.sparse import adjacency_from_edges
 from repro.nn import Tensor, profiler
+from repro.obs import record
 
 MICRO = Profile(
     name="micro",
@@ -160,6 +161,18 @@ class TestTableRunners:
         )
         cell = table.get("GCMAE", "cora-like")
         assert cell is not None and cell.mean > 0
+
+    def test_table9_spans_are_its_own(self):
+        with record() as rec:
+            run_table9(
+                profile=MICRO, datasets=["cora-like"], methods=["CCA-SSG", "GCMAE"]
+            )
+        names = [span.name for span in rec.spans]
+        assert names == [
+            "table9/CCA-SSG/cora-like/seed0",
+            "table9/GCMAE/cora-like/seed0",
+        ]
+        assert not any("table4/" in name for name in names)
 
     def test_table9_groups_every_gat_graph_kernel(self):
         # A graph kernel missing from COMPONENT_GROUPS would silently land
