@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, perfbench's
-# own tests, perf smoke, serving smoke, bench-history regression check,
-# telemetry sample run.
+# own tests, perf smoke, budget-2 golden suites, serving smoke, bench-history
+# regression check, telemetry sample run.
 #
 # Usage: scripts/ci.sh [--report-only]
 #   --report-only   run the perf benchmark without enforcing min_speedup
@@ -46,6 +46,13 @@ echo "== float32 smoke (policy-scoped tier-1 subset under REPRO_DTYPE=float32) =
 REPRO_DTYPE=float32 PYTHONPATH=src python -m pytest -q \
     tests/core tests/eval tests/serve tests/test_integration.py \
     tests/nn/test_dtype.py tests/nn/test_kernels.py tests/nn/test_arena.py
+
+echo "== thread budget 2 (golden suites bit-identical at REPRO_NUM_THREADS=2) =="
+# The tier-1 run above holds the golden curves and tables at the default
+# budget of 1; this leg holds them with 2 spmm and 2 OpenBLAS threads.
+REPRO_NUM_THREADS=2 PYTHONPATH=src python -m pytest -q \
+    tests/engine/test_golden_equivalence.py tests/engine/test_resume.py \
+    tests/spec/test_equivalence.py
 
 echo "== kernel smoke (dtype bytes, threaded spmm, arena warmup) =="
 # Gated by the "kernels" key in benchmarks/perf_baseline.json; writes

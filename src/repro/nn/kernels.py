@@ -8,16 +8,21 @@ blocked product is **bit-identical** to the serial scipy product no matter
 how many threads or blocks are used — reproducibility is preserved by
 construction, not by tolerance.
 
-Knobs:
+Thread budget, one number per process:
 
-* :func:`set_num_threads` / :class:`threads` — pool size, process-wide.
-* ``REPRO_NUM_THREADS`` — environment override read at import time.
+* :func:`set_num_threads` / :class:`threads` — set it process-wide.
+* ``REPRO_NUM_THREADS`` — environment value applied at import (default 1).
 
-The default is 1 thread, which keeps today's behavior exactly (the plain
-``matrix @ dense`` scipy call) and stays compatible with the fork-based
-process pool in :mod:`repro.parallel`: a forked child never inherits live
-worker threads, and :func:`os.register_at_fork` drops the (unusable)
-inherited pool handle so children lazily rebuild their own.
+The budget sizes the spmm pool *and* both OpenBLAS copies bundled with the
+numpy and scipy wheels (set through ``ctypes``; a missing library is
+skipped), so it overrides ``OPENBLAS_NUM_THREADS`` inside repro processes.
+Left alone, each OpenBLAS starts one thread per core, and the idle ones spin
+between calls.  The default of 1 runs the plain serial ``matrix @ dense``
+scipy call and single-threaded GEMM.  It stays compatible with the
+fork-based process pool in :mod:`repro.parallel`, which gives each worker
+``max(1, budget // jobs)``: a forked child never inherits live worker
+threads, and :func:`os.register_at_fork` drops the (unusable) inherited
+pool handle so children lazily rebuild their own.
 
 :func:`spmm_data` is the single entry point used by
 :mod:`repro.nn.functional`; it also accepts a preallocated ``out`` buffer
@@ -27,12 +32,16 @@ across training steps.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .arena import active_arena
@@ -53,13 +62,60 @@ _num_threads = 1
 _pool: Optional[ThreadPoolExecutor] = None
 
 
+# The OpenBLAS copies bundled with the numpy and scipy wheels: the name a
+# budget report gives each, the wheel's library directory and file, and the
+# thread-count symbols (numpy's copy has the 64-bit-integer interface).
+_BLAS_LIBRARIES = (
+    ("numpy_blas", np, "libscipy_openblas64_*", "scipy_openblas_{}_num_threads64_"),
+    ("scipy_blas", scipy, "libscipy_openblas-*", "scipy_openblas_{}_num_threads"),
+)
+
+
+@functools.cache
+def _blas_controls() -> Dict[str, Tuple[Callable[[], int], Callable[[int], None]]]:
+    """``name -> (get, set)`` thread-count calls of each bundled OpenBLAS found."""
+    controls = {}
+    for name, package, pattern, symbol in _BLAS_LIBRARIES:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        found = sorted(glob.glob(os.path.join(site, package.__name__ + ".libs", pattern)))
+        if not found:
+            continue
+        try:
+            # Loading by path returns the copy the package already mapped.
+            library = ctypes.CDLL(found[0])
+            get = getattr(library, symbol.format("get"))
+            set_ = getattr(library, symbol.format("set"))
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls[name] = (get, set_)
+    return controls
+
+
+def blas_threads() -> Dict[str, Optional[int]]:
+    """Thread count of each bundled OpenBLAS (``None`` where none is found)."""
+    counts: Dict[str, Optional[int]] = {name: None for name, *_ in _BLAS_LIBRARIES}
+    for name, (get, _set) in _blas_controls().items():
+        counts[name] = get()
+    return counts
+
+
+def thread_budget() -> Dict[str, Optional[int]]:
+    """The effective budget, as run manifests and bench records carry it."""
+    return {"budget": _num_threads, **blas_threads()}
+
+
 def num_threads() -> int:
-    """The configured pool size (1 = serial, today's default behavior)."""
+    """The process thread budget (1 = serial, the default)."""
     return _num_threads
 
 
 def set_num_threads(count: int) -> int:
-    """Set the spmm worker-pool size process-wide; returns the previous size."""
+    """Set the thread budget process-wide; returns the previous budget.
+
+    Sizes the spmm worker pool and both bundled OpenBLAS copies.
+    """
     count = int(count)
     if count < 1:
         raise ValueError(f"num_threads must be >= 1, got {count}")
@@ -71,11 +127,13 @@ def set_num_threads(count: int) -> int:
                 _pool.shutdown(wait=True)
                 _pool = None
             _num_threads = count
+    for _get, set_blas in _blas_controls().values():
+        set_blas(count)
     return previous
 
 
 class threads:
-    """Context manager scoping the pool size: ``with threads(4): ...``."""
+    """Context manager scoping the budget: ``with threads(4): ...``."""
 
     def __init__(self, count: int) -> None:
         self.count = count
@@ -197,9 +255,7 @@ def spmm_data(matrix, dense: np.ndarray, out: Optional[np.ndarray] = None) -> np
 
 
 def _apply_environment() -> None:
-    spec = os.environ.get("REPRO_NUM_THREADS", "").strip()
-    if spec:
-        set_num_threads(int(spec))
+    set_num_threads(int(os.environ.get("REPRO_NUM_THREADS", "").strip() or 1))
 
 
 _apply_environment()

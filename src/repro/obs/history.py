@@ -5,10 +5,13 @@ Every perf gate in ``benchmarks/`` writes a ``BENCH_*.json`` artifact
 regression, ...), but each run overwrote the last — the repo had gates and
 no *trajectory*.  This module appends each benchmark sweep to
 ``benchmarks/history/`` as one immutable entry keyed by commit, UTC
-timestamp, and a host fingerprint::
+timestamp, a host fingerprint and the thread budget in force
+(:func:`repro.nn.kernels.thread_budget`, resolved from the same
+``REPRO_NUM_THREADS`` the benchmarks ran under)::
 
     benchmarks/history/20260808T120000Z-2f9c1ab.json
     {"schema_version": 1, "commit": ..., "timestamp": ..., "host": {...},
+     "threads": {"budget": 1, "numpy_blas": 1, "scipy_blas": 1},
      "benches": {"kernels": {...}, "serving": {...}}}
 
 ``repro bench record`` appends an entry, ``repro bench trend`` renders
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .inspect import sparkline
+from ..nn.kernels import thread_budget
+from .inspect import format_threads, sparkline
 
 HISTORY_SCHEMA_VERSION = 1
 DEFAULT_BENCH_DIR = "benchmarks"
@@ -125,6 +129,7 @@ def record_bench_history(
         "commit": commit,
         "timestamp": stamp,
         "host": dict(host) if host is not None else host_fingerprint(),
+        "threads": thread_budget(),
         "benches": benches,
     }
     compact = stamp.replace("-", "").replace(":", "")
@@ -316,11 +321,19 @@ def render_trend(
     return "\n".join(lines)
 
 
+def _threads_note(a: Optional[dict], b: Optional[dict]) -> str:
+    if a == b:
+        return "yes" if a else "unknown (not recorded)"
+    before, after = (format_threads(t) if t else "not recorded" for t in (a, b))
+    return f"no ({before} -> {after})"
+
+
 def render_history_diff(a: dict, b: dict) -> str:
     """The ``repro bench diff`` report between two history entries."""
     lines = [
         f"bench diff {_entry_label(a)} -> {_entry_label(b)}",
         f"  same host: {'yes' if _same_host(a.get('host'), b.get('host')) else 'no'}",
+        f"  same threads: {_threads_note(a.get('threads'), b.get('threads'))}",
         "",
     ]
     metrics_a, metrics_b = entry_metrics(a), entry_metrics(b)

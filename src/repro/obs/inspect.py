@@ -381,6 +381,16 @@ def _spec_block(manifest: Dict[str, object]) -> List[str]:
     return lines
 
 
+def format_threads(threads: Dict[str, object]) -> str:
+    """One line for a recorded thread budget: ``budget 1 (numpy_blas 1, ...)``."""
+    blas = ", ".join(
+        f"{name} {'-' if count is None else count}"
+        for name, count in threads.items()
+        if name != "budget"
+    )
+    return f"budget {threads.get('budget')} ({blas})"
+
+
 def render_show(run: Run, span_limit: int = 12, op_limit: int = 6) -> str:
     """The ``repro runs show`` report: curves, grad norms, span breakdown."""
     m = run.manifest
@@ -391,6 +401,8 @@ def render_show(run: Run, span_limit: int = 12, op_limit: int = 6) -> str:
         f"  started {m.get('started_at')}  ended {m.get('ended_at')}  "
         f"version {m.get('package_version')}",
     ]
+    if m.get("threads"):
+        lines.append(f"  threads {format_threads(m['threads'])}")
     if m.get("error"):
         lines.append(f"  error: {m['error']}")
     lines.extend(_config_block(m))

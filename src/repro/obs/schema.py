@@ -81,6 +81,15 @@ MANIFEST_SCHEMA: Dict[str, Tuple[bool, tuple]] = {
     # Present on spec-driven runs (``repro run``): the expanded plan with
     # every variant's fully-resolved post-override config.
     "spec": (False, (dict,)),
+    # The thread budget in force: ``budget`` plus each bundled OpenBLAS's
+    # count (``None`` where that library is absent).
+    "threads": (False, (dict,)),
+}
+
+THREADS_SCHEMA: Dict[str, Tuple[bool, tuple]] = {
+    "budget": (True, (int,)),
+    "numpy_blas": (True, (int, type(None))),
+    "scipy_blas": (True, (int, type(None))),
 }
 
 RUN_STATUSES = ("running", "ok", "oom", "error", "diverged")
@@ -141,6 +150,8 @@ def validate_event(event: dict) -> None:
 def validate_manifest(manifest: dict) -> None:
     """Raise :class:`SchemaError` unless ``manifest`` matches the schema."""
     _check_fields(manifest, MANIFEST_SCHEMA, "manifest")
+    if "threads" in manifest:
+        _check_fields(manifest["threads"], THREADS_SCHEMA, "manifest.threads")
     if manifest["status"] not in RUN_STATUSES:
         raise SchemaError(
             f"manifest: status {manifest['status']!r} not in {RUN_STATUSES}"

@@ -6,7 +6,8 @@ Each run lives under ``<root>/<run_id>/`` with exactly two files:
   progresses (epoch rows, spans, counters, gauges).  Append-only and
   flushed per event, so a crashed run keeps every event up to the crash.
 * ``manifest.json`` — provenance: method, dataset, config dict, seed,
-  package version, start/end timestamps, and final status (``running`` →
+  package version, the thread budget in force (:mod:`repro.nn.kernels`),
+  start/end timestamps, and final status (``running`` →
   ``ok`` | ``oom`` | ``error``).  Written via write-then-rename (the same
   atomicity discipline as the embedding cache), so readers never observe a
   truncated manifest.
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
+from ..nn.kernels import thread_budget
 from .health import DivergenceError
 from .recorder import MetricsRecorder, record
 from .schema import SCHEMA_VERSION
@@ -100,6 +102,7 @@ class RunWriter:
             "seed": int(seed),
             "config": config_dict(config),
             "package_version": __version__,
+            "threads": thread_budget(),
             "started_at": _utc_now(),
             "ended_at": None,
             "status": "running",

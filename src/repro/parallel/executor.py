@@ -28,7 +28,14 @@ order**, so a parallel run returns results bit-identical to a serial run:
   valid ``runs/<run_id>/`` record.
 * **Errors** — a cell's exception (original type preserved when picklable,
   :class:`CellError` with the worker traceback otherwise) is re-raised in
-  the parent after every cell has finished and every shard is merged.
+  the parent after every cell has finished and every shard is merged.  A
+  worker process that dies mid-cell (``os._exit``, a signal, the OOM
+  killer) stops the pool at once: the other workers are terminated, the
+  finished cells' shards are merged, and :class:`CellError` names the cell.
+* **Threads** — each worker runs under ``max(1, budget // jobs)`` of the
+  parent's thread budget (:func:`repro.nn.kernels.set_num_threads`), so
+  ``jobs`` workers share the cores the budget allows instead of each
+  starting a full OpenBLAS pool.
 
 Worker processes are created by fork, so cell functions may be closures
 over arbitrary parent state (profiles, configs, datasets) without any of
@@ -50,11 +57,13 @@ import shutil
 import tempfile
 import traceback
 import zlib
+from multiprocessing import connection
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from ..nn import kernels
 from ..nn import profiler as nn_profiler
 from ..obs import hooks as obs_hooks
 from ..obs import recorder as obs_recorder
@@ -74,7 +83,7 @@ _FORK_STATE: dict = {}
 
 
 class CellError(RuntimeError):
-    """A worker cell failed with an exception that could not be pickled."""
+    """A worker cell failed unpicklably, returned an unpicklable value, or died."""
 
 
 def set_default_jobs(jobs: Optional[int]) -> None:
@@ -118,8 +127,8 @@ def _run_inline(fn: Callable[[C], R], cell: C, label: str, index: int) -> R:
     return fn(cell)
 
 
-def _worker_init() -> None:
-    """Reset telemetry state a forked worker inherited from the parent.
+def _worker_init(share: int) -> None:
+    """Give a forked worker its thread share and reset inherited telemetry.
 
     The fork copies the parent's thread-local recorder, hook stack, span
     stack, and profiler session — including a live handle to the parent's
@@ -129,6 +138,7 @@ def _worker_init() -> None:
     """
     global _IN_WORKER
     _IN_WORKER = True
+    kernels.set_num_threads(share)
     nn_profiler._tls.session = None
     obs_hooks._tls.hooks = ()
     obs_recorder._tls.recorder = None
@@ -210,6 +220,76 @@ def run_cells(
     return _run_pool(cells, fn, jobs, label)
 
 
+def _worker_main(conn: connection.Connection, share: int) -> None:
+    """A worker's loop: run each cell index the parent sends, until ``None``."""
+    _worker_init(share)
+    for index in iter(conn.recv, None):
+        payload = _worker_run_cell(index)
+        try:
+            conn.send(payload)
+        except Exception as exc:  # the cell's value does not pickle
+            cell = _FORK_STATE["cells"][index]
+            message = f"cell {cell!r} returned an unpicklable value: {exc}"
+            payload.update(ok=False, value=None, error=CellError(message))
+            conn.send(payload)
+
+
+def _drain_pool(cells: List[C], jobs: int) -> Tuple[List[Optional[dict]], Optional[CellError]]:
+    """Run every cell over ``jobs`` forked workers; returns the payloads.
+
+    Each worker has its own pipe and the parent hands it one cell index at
+    a time, so the parent always knows which cell a worker runs.  A
+    worker's death closes the only copy of its pipe end and reads as EOF:
+    the pool then stops and the lost cell comes back as a :class:`CellError`
+    (payloads of cells that never finished stay ``None``).
+    """
+    context = mp.get_context("fork")
+    share = max(1, kernels.num_threads() // jobs)
+    payloads: List[Optional[dict]] = [None] * len(cells)
+    pending = iter(range(len(cells)))
+    running: dict = {}  # connection -> (process, cell index)
+    workers = []
+    lost: Optional[CellError] = None
+    drained = False
+
+    def dispatch(process, conn) -> None:
+        index = next(pending, None)
+        conn.send(index)
+        if index is not None:
+            running[conn] = (process, index)
+
+    try:
+        for _ in range(jobs):
+            conn, child_conn = context.Pipe()
+            process = context.Process(target=_worker_main, args=(child_conn, share), daemon=True)
+            process.start()
+            child_conn.close()
+            workers.append((process, conn))
+        for process, conn in workers:
+            dispatch(process, conn)
+        while running and lost is None:
+            for conn in connection.wait(list(running)):
+                process, index = running.pop(conn)
+                try:
+                    payloads[index] = conn.recv()
+                except EOFError:
+                    process.join()
+                    lost = CellError(
+                        f"cell {cells[index]!r}: its worker process died "
+                        f"(exit code {process.exitcode})"
+                    )
+                    break
+                dispatch(process, conn)
+        drained = lost is None
+    finally:
+        for process, conn in workers:
+            if not drained:
+                process.terminate()  # stopped early: drop the cells in flight
+            process.join()
+            conn.close()
+    return payloads, lost
+
+
 def _run_pool(cells: List[C], fn: Callable[[C], R], jobs: int, label: str) -> List[R]:
     recorder = active_recorder()
     session = nn_profiler.active_session()
@@ -239,13 +319,7 @@ def _run_pool(cells: List[C], fn: Callable[[C], R], jobs: int, label: str) -> Li
         profile=session is not None,
     )
     try:
-        context = mp.get_context("fork")
-        with context.Pool(processes=jobs, initializer=_worker_init) as pool:
-            handles = [
-                pool.apply_async(_worker_run_cell, (index,))
-                for index in range(len(cells))
-            ]
-            payloads = [handle.get() for handle in handles]
+        payloads, lost = _drain_pool(cells, jobs)
     finally:
         _FORK_STATE.clear()
 
@@ -254,6 +328,8 @@ def _run_pool(cells: List[C], fn: Callable[[C], R], jobs: int, label: str) -> Li
     error: Optional[BaseException] = None
     error_cell: object = None
     for index, payload in enumerate(payloads):
+        if payload is None:
+            continue  # lost or never run: the pool stopped at a dead worker
         if shard_dir is not None:
             merge_shard(
                 recorder,
@@ -270,6 +346,8 @@ def _run_pool(cells: List[C], fn: Callable[[C], R], jobs: int, label: str) -> Li
             error_cell = cells[index]
     if shard_dir is not None:
         shutil.rmtree(shard_dir, ignore_errors=True)
+    if lost is not None:
+        raise lost
     if error is not None:
         try:
             error.add_note(f"raised in a run_cells worker for cell {error_cell!r}")

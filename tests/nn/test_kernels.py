@@ -146,6 +146,33 @@ class TestKnobs:
         kernels._apply_environment()
         assert kernels.num_threads() == 2
 
+    def test_environment_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        set_num_threads(3)
+        kernels._apply_environment()
+        assert kernels.num_threads() == 1
+
+
+class TestBlasBudget:
+    @pytest.fixture(autouse=True)
+    def _bundled_openblas(self):
+        if not any(count is not None for count in kernels.blas_threads().values()):
+            pytest.skip("no bundled OpenBLAS found")
+
+    def test_budget_sizes_both_blas_copies(self):
+        with threads(3):
+            found = {c for c in kernels.blas_threads().values() if c is not None}
+            assert found == {3}
+        assert kernels.thread_budget()["budget"] == 1
+
+    def test_context_restores_blas_counts(self):
+        before = kernels.blas_threads()
+        with pytest.raises(RuntimeError):
+            with threads(2):
+                raise RuntimeError("boom")
+        assert kernels.blas_threads() == before
+        assert {c for c in before.values() if c is not None} == {1}
+
 
 class TestRowBlocks:
     def test_partition_covers_all_rows(self):

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.nn.kernels import thread_budget
 from repro.obs import history
 
 
@@ -68,6 +69,7 @@ class TestRecordAndLoad:
             assert entry["commit"]
             assert entry["timestamp"]
             assert entry["host"]["hostname"]
+            assert entry["threads"] == thread_budget()
 
     def test_same_second_records_keep_append_order(self, tmp_path):
         bench = tmp_path / "benchmarks"
@@ -184,6 +186,18 @@ class TestRendering:
         assert "* k.speedup" in text  # regressed: marked
         assert "* k.csr_seconds" not in text  # improved: unmarked
         assert "same host: yes" in text
+        assert "same threads: unknown" in text
+
+    def test_diff_shows_differing_thread_budgets(self):
+        a = make_entry("2026-01-01T00:00:00Z", {"k": {"speedup": 1.0}})
+        b = make_entry("2026-01-02T00:00:00Z", {"k": {"speedup": 1.0}})
+        a["threads"] = {"budget": 1, "numpy_blas": 1, "scipy_blas": 1}
+        b["threads"] = {"budget": 2, "numpy_blas": 2, "scipy_blas": None}
+        text = history.render_history_diff(a, b)
+        assert "same threads: no (budget 1 (numpy_blas 1, scipy_blas 1) -> " in text
+        assert "budget 2 (numpy_blas 2, scipy_blas -))" in text
+        b["threads"] = dict(a["threads"])
+        assert "same threads: yes" in history.render_history_diff(a, b)
 
     def test_regressions_render(self):
         entries = [

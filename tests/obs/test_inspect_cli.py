@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.nn.kernels import num_threads
 from repro.obs import (
     emit_epoch,
     find_run,
@@ -139,6 +140,7 @@ class TestRendering:
         assert "sce" in text
         assert "test/GCMAE" in text
         assert "status ok" in text
+        assert f"threads budget {num_threads()} (numpy_blas" in text
 
     def test_render_diff_marks_changes(self, tmp_path):
         a = _make_run(tmp_path, run_id="base", config={"lr": 0.001}, losses=(2.0, 1.0))

@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import GCMAEConfig
 from repro.core.trainer import train_gcmae
 from repro.graph.datasets import load_node_dataset
+from repro.nn.kernels import thread_budget
 from repro.nn.profiler import profile
 from repro.obs import (
     RunWriter,
@@ -87,6 +88,7 @@ class TestTelemetryRun:
         validate_manifest(manifest)
         assert manifest["status"] == "ok"
         assert manifest["config"]["hidden_dim"] == 16
+        assert manifest["threads"] == thread_budget()
         assert manifest["summary"]["epochs"] == 2
         events = [
             json.loads(line)
@@ -207,6 +209,18 @@ class TestSchemaValidation:
             "started_at": "now", "ended_at": None, "status": "diverged",
         }
         validate_manifest(manifest)
+
+    def test_threads_field_validated(self):
+        manifest = {
+            "schema_version": 1, "run_id": "r", "method": "m", "dataset": "d",
+            "seed": 0, "config": {}, "package_version": "1.0.0",
+            "started_at": "now", "ended_at": None, "status": "ok",
+            "threads": {"budget": 2, "numpy_blas": 2, "scipy_blas": None},
+        }
+        validate_manifest(manifest)
+        manifest["threads"] = {"budget": "2", "numpy_blas": 2, "scipy_blas": 2}
+        with pytest.raises(SchemaError, match="threads"):
+            validate_manifest(manifest)
 
     def test_bad_manifest_status_rejected(self):
         manifest = {

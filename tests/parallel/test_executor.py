@@ -1,9 +1,16 @@
 """Unit tests for the process-pool cell executor."""
 
+import json
+import multiprocessing as mp
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from repro.nn import kernels
 from repro.nn import profiler as nn_profiler
+from repro.obs import telemetry_run
 from repro.parallel import (
     CellError,
     derive_cell_seed,
@@ -125,3 +132,66 @@ class TestProfilerMerge:
             return nn_profiler.active_session() is None
 
         assert run_cells([0, 1], fn, jobs=2) == [True, True]
+
+
+class TestWorkerDeath:
+    def test_dead_worker_raises_and_seals_manifest(self, tmp_path):
+        pids = tmp_path / "pids"
+        pids.mkdir()
+
+        def fn(cell):
+            (pids / f"{cell}-{os.getpid()}").touch()
+            if cell == 1:
+                os._exit(1)
+            return cell
+
+        outcome = {}
+
+        def run():
+            try:
+                with telemetry_run(tmp_path / "runs", method="cells", dataset="toy"):
+                    outcome["value"] = run_cells([0, 1, 2, 3], fn, jobs=2)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        # A lost worker must not hang the parent: wait a bounded time.
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_cells hung after a worker died"
+
+        error = outcome.get("error")
+        assert isinstance(error, CellError)
+        assert "cell 1" in str(error) and "exit code 1" in str(error)
+        assert executor._FORK_STATE == {}
+        assert mp.active_children() == []
+        for path in pids.iterdir():
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(path.name.split("-")[1]), 0)
+
+        run_dir = next((tmp_path / "runs").iterdir())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "cell 1" in manifest["error"]
+        assert not (run_dir / "shards").exists()
+
+    def test_unpicklable_value_becomes_cell_error(self):
+        with pytest.raises(CellError, match="unpicklable value"):
+            run_cells([0, 1], lambda c: (lambda: c), jobs=2)
+
+
+class TestThreadShare:
+    @pytest.mark.parametrize("budget, share", [(1, 1), (4, 2)])
+    def test_worker_runs_under_its_share(self, budget, share):
+        def fn(_cell):
+            return kernels.num_threads(), kernels.blas_threads()
+
+        with kernels.threads(budget):
+            before = kernels.thread_budget()
+            results = run_cells([0, 1], fn, jobs=2)
+            assert kernels.thread_budget() == before  # the parent keeps its budget
+        assert [spmm for spmm, _ in results] == [share, share]
+        blas = [c for _, counts in results for c in counts.values() if c is not None]
+        if not blas:
+            pytest.skip("no bundled OpenBLAS found")
+        assert set(blas) == {share}
